@@ -256,20 +256,27 @@ func (d *Driver) Protocol() Protocol { return d.cfg.Protocol }
 // deterministically. Without it an engine-backed driver leaks
 // ranks x (ThreadsPerRank-1) persistent worker goroutines until the
 // garbage collector notices the solvers are unreachable. A pipelined Run
-// still in flight is aborted first (it returns an error) and joined, so
-// for that protocol Close is safe even mid-sweep once Run has started
-// its setup; under the lagged protocol Close must only be called between
-// runs, as before. The driver remains fully usable: a later Run
-// transparently rebuilds the pools. Safe to call multiple times.
+// still in flight is aborted first (it returns an error) and joined, and
+// one just starting waits for the Close and then rebuilds the pools, so
+// for that protocol Close is safe at any point of a Run; under the lagged
+// protocol Close must only be called between runs, as before. The driver
+// remains fully usable: a later Run transparently rebuilds the pools.
+// Safe to call multiple times.
 func (d *Driver) Close() {
 	d.mu.Lock()
 	abort, done := d.runAbort, d.runDone
 	d.closeSeq++
-	d.mu.Unlock()
 	if abort != nil {
+		// The run's exit path takes the mutex, so wait for it unlocked.
+		d.mu.Unlock()
 		abort()
 		<-done
+		d.mu.Lock()
 	}
+	// The pools stop under the mutex: a pipelined Run starting meanwhile
+	// waits in its setup and then rebuilds them, instead of building
+	// engines that this loop is stopping.
+	defer d.mu.Unlock()
 	for _, s := range d.solvers {
 		s.Close()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unsnap/internal/build"
@@ -70,9 +71,11 @@ type pipeEdgeDef struct {
 // pipeMsg carries one (ordinate, face) transfer: all groups' nodal flux
 // in the sender's face-node order; elem/face address the receiver's side.
 // The data buffer comes from the driver's message pool and is returned by
-// the consuming receiver.
+// the consuming receiver. sweep is the sender's sweep number (1 for the
+// first sweep of a Run): receivers use it to notice a lost transfer.
 type pipeMsg struct {
 	a, elem, face int
+	sweep         int64
 	data          []float64 // [group][sender face node]
 }
 
@@ -262,7 +265,8 @@ func (d *Driver) publishFace(rank, a, e, f int) {
 	}
 	key := mesh.FaceKey{Elem: e, Face: f}
 	ref := d.part.Subs[rank].Remote[key]
-	msg := pipeMsg{a: a, elem: ref.Elem, face: ref.Face, data: d.pipe.getBuf()}
+	msg := pipeMsg{a: a, elem: ref.Elem, face: ref.Face,
+		sweep: pr.sweeps[rank].Load(), data: d.pipe.getBuf()}
 	s := d.solvers[rank]
 	for g := 0; g < d.nG; g++ {
 		s.PsiFaceValues(a, e, g, f, msg.data[g*d.nF:(g+1)*d.nF])
@@ -293,6 +297,7 @@ type pipeRun struct {
 	lagGates []chan struct{} // per edge: lagged-receiver go-ahead, one send per sweep
 	abort    chan struct{}   // closed on first failure (or Close mid-run)
 	done     chan struct{}   // closed when Run is over; stops receivers/watchers
+	sweeps   []atomic.Int64  // per rank: number of the sweep armed last
 
 	abortOnce sync.Once
 	errMu     sync.Mutex
@@ -351,12 +356,12 @@ func (pr *pipeRun) applyMsg(ei int, m pipeMsg) {
 // the owning rank to arm (the gate), then consume exactly the edge's
 // stream quota, writing each message into the solver's inflow slot and
 // resolving the dependent task. FIFO channels plus fixed quotas keep
-// sweeps aligned without sequence numbers even when the upstream rank
-// runs ahead.
+// sweeps aligned even when the upstream rank runs ahead; the sweep
+// number each message carries only detects a lost transfer (inSweep).
 func (pr *pipeRun) receiver(ei int) {
 	d := pr.d
 	ed := d.pipe.edges[ei]
-	for {
+	for sweep := int64(1); ; sweep++ {
 		select {
 		case <-pr.gates[ei]:
 		case <-pr.done:
@@ -366,12 +371,26 @@ func (pr *pipeRun) receiver(ei int) {
 		}
 		for i := 0; i < ed.stream; i++ {
 			m, ok := pr.tr.Recv(ei, false)
-			if !ok {
+			if !ok || !pr.inSweep(m, sweep) {
 				return
 			}
 			pr.applyMsg(ei, m)
 		}
 	}
+}
+
+// inSweep reports whether m was sent in the given sweep. A message from a
+// later sweep means a transfer of this one was lost: applying it would
+// resolve the wrong task and overwrite a slot a running task may read.
+// The receiver drops it and stops instead, so the lost transfer starves
+// its task like any missing message and the deadline watchdog ends the
+// run with a retryable SweepError.
+func (pr *pipeRun) inSweep(m pipeMsg, sweep int64) bool {
+	if m.sweep == sweep {
+		return true
+	}
+	pr.d.pipe.putBuf(m.data)
+	return false
 }
 
 // lagReceiver drains one in-edge's lagged transfers with a one-sweep
@@ -386,8 +405,7 @@ func (pr *pipeRun) lagReceiver(ei int) {
 	d := pr.d
 	ed := d.pipe.edges[ei]
 	s := d.solvers[ed.to]
-	first := true
-	for {
+	for sweep := int64(1); ; sweep++ {
 		select {
 		case <-pr.lagGates[ei]:
 		case <-pr.done:
@@ -395,8 +413,7 @@ func (pr *pipeRun) lagReceiver(ei int) {
 		case <-pr.abort:
 			return
 		}
-		if first {
-			first = false
+		if sweep == 1 {
 			for _, ld := range d.pipe.lagResolve[ei] {
 				s.ResolveExternal(ld.a, ld.elem)
 			}
@@ -404,7 +421,7 @@ func (pr *pipeRun) lagReceiver(ei int) {
 		}
 		for i := 0; i < ed.lag; i++ {
 			m, ok := pr.tr.Recv(ei, true)
-			if !ok {
+			if !ok || !pr.inSweep(m, sweep-1) {
 				return
 			}
 			pr.applyMsg(ei, m)
@@ -417,6 +434,10 @@ func (pr *pipeRun) lagReceiver(ei int) {
 func (pr *pipeRun) sweepOnce(r int) (float64, error) {
 	s := pr.d.solvers[r]
 	s.PrepareInner()
+	// Every publish of this sweep happens after the increment: tasks run
+	// only once the sweep is armed, and FinishSweep joins them before the
+	// next increment.
+	pr.sweeps[r].Add(1)
 	if err := s.ArmSweep(); err != nil {
 		return 0, err
 	}
@@ -618,9 +639,16 @@ func (pr *pipeRun) rankLoop(r int) (res rankResult) {
 func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	pr := &pipeRun{
 		d: d, n: len(d.solvers),
-		abort: make(chan struct{}),
-		done:  make(chan struct{}),
+		abort:  make(chan struct{}),
+		done:   make(chan struct{}),
+		sweeps: make([]atomic.Int64, len(d.solvers)),
 	}
+	// finished is what Close waits on. It closes only when Run returns,
+	// after pr.aux.Wait: pr.done closes earlier, while receivers may still
+	// be applying buffered transfers, and a Close released by it would
+	// stop the engines under them. Registered first, so it runs last.
+	finished := make(chan struct{})
+	defer close(finished)
 	// The whole setup — abort registration, channel allocation, engine
 	// construction — runs under the driver mutex: a Close arriving while
 	// the run is starting up blocks until the registration exists and
@@ -630,7 +658,7 @@ func (d *Driver) runPipelined(ctx context.Context) (*Result, error) {
 	// lagged protocol.)
 	d.mu.Lock()
 	d.runAbort = func() { pr.fail(errDriverClosed) }
-	d.runDone = pr.done
+	d.runDone = finished
 	ct := &chanTransport{
 		chans:    make([]chan pipeMsg, len(d.pipe.edges)),
 		lagChans: make([]chan pipeMsg, len(d.pipe.edges)),

@@ -266,3 +266,44 @@ func TestPipelinedCloseMidSweep(t *testing.T) {
 		t.Fatal("second Run did not return after Close")
 	}
 }
+
+// TestPipelinedCloseMidSweepRepeated loops the abort-by-Close path many
+// times without the race detector, whose scheduling hides the window:
+// Close must not stop the rank engines until every helper goroutine of
+// the aborted run has exited, or a receiver still applying a buffered
+// transfer resolves a task on a closed solver and panics. The Closes
+// that land while a Run is starting pin the other order: the Run must
+// not build its engines while Close is stopping them.
+func TestPipelinedCloseMidSweepRepeated(t *testing.T) {
+	m, q, lib := testParts(t, 6, 2, 4, 0.001)
+	d, err := New(Config{Mesh: m, PY: 2, PZ: 1, Protocol: Pipelined,
+		Rank: core.Config{Order: 1, Quad: q, Lib: lib, Scheme: core.SchemeEngine, Threads: 2, MaxInners: 400, MaxOuters: 1, ForceIterations: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i < 600; i++ {
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := d.Run()
+			errCh <- err
+		}()
+		// Vary the moment of the Close across the run's phases. A Close
+		// that wins the driver mutex before Run registers closes an idle
+		// driver and misses the run, so keep closing until Run returns.
+		wait := time.Duration(i%8) * 250 * time.Microsecond
+		for done := false; !done; {
+			time.Sleep(wait)
+			d.Close()
+			select {
+			case <-errCh:
+				done = true
+			case <-time.After(time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: Run did not return after Close", i)
+			}
+		}
+	}
+}

@@ -13,8 +13,10 @@ import (
 // element) task executed as one group-batched, allocation-free body.
 //
 //   - RHS batching: the right-hand sides of every group are assembled in
-//     one pass over the element. The volumetric source pass streams the
-//     mass matrix group by group; the face pass is restructured
+//     one pass over the element. The volumetric source pass copies the
+//     task's [group][node] block of M q_tot (see source hoisting below) or,
+//     when the source depends on the ordinate, streams the mass matrix
+//     group by group; the face pass is restructured
 //     face-outer / group-inner, so the per-face bookkeeping the scalar
 //     kernel repeats per group — inflow classification, neighbour lookup,
 //     the conforming-face permutation chase, the fused face-matrix block
@@ -29,6 +31,22 @@ import (
 //     one and only the RHS batching pays; on flat-sigma_t groups (and
 //     any within-material group structure with repeats) the whole task
 //     costs one factorisation.
+//   - Source hoisting: with isotropic scattering (ScatOrder 0) and a
+//     steady run the volumetric source M_e q_tot,g does not depend on the
+//     ordinate, so PrepareInner forms it once per (element, group) per
+//     inner on its fork-join round (Solver.mq) instead of every task
+//     repeating it for each of the nA ordinates. P1 adds 3 Omega . q1 and
+//     BDF1 adds vdelt psi_prev(a) to the source before the product;
+//     splitting that product linearly would change bits, so those runs
+//     keep the per-task product.
+//   - Lockstep pairs: on a per-group sigma_t ramp every run has length
+//     one, and each small solve is one serial dependency chain bound by
+//     latency. Adjacent length-1 runs are solved two at a time,
+//     interleaved (la.SolveGE2 on the uncached SolverGE path,
+//     la.SolveFactored2 on factor-cache hits), so one chain hides the
+//     other's latency; the second matrix is pre-sized in workerState.
+//     Longer runs, an odd tail run and SolverDGESV's uncached path take
+//     the single-run routines.
 //   - Factor caching: the matrices themselves repeat across tasks — base
 //     + sigma_t,g M is a pure function of (ordinate, element-geometry
 //     class, outflow set, material) — so on meshes with repeated
@@ -41,8 +59,14 @@ import (
 //
 // Bitwise contract: for every group the floating-point operation
 // sequence is identical to the scalar kernel's — batching reorders work
-// across independent groups only. TestKernelBatchedBitwise pins batched
-// == scalar flux bit for bit across the boundary-condition matrix.
+// across independent groups only. The hoisted source is the same
+// row-by-row, ascending-j dot product over the same q_tot values
+// (massMatVec serves both), merely computed once instead of nA times; the
+// pair routines give each member exactly the single-system sequence
+// (la/batch.go). TestKernelBatchedBitwise pins batched == scalar flux bit
+// for bit across the boundary-condition matrix, P1, BDF1, and run layouts
+// with pairs, multi-group runs and unpaired tails, with and without the
+// factor cache.
 
 // sigtRun is one maximal run of consecutive groups sharing a sigma_t
 // value within one material: groups [g0, g0+k) of the effective totals.
@@ -107,12 +131,20 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 		st.asmNS += time.Since(t0).Nanoseconds()
 	}
 	n := s.nN
+	runs := s.sigtRuns[mat]
 	if fent != nil {
 		if instr {
 			t0 = time.Now()
 		}
-		for r, run := range s.sigtRuns[mat] {
-			g0, k := int(run.g0), int(run.k)
+		for r := 0; r < len(runs); r++ {
+			g0, k := int(runs[r].g0), int(runs[r].k)
+			if pairAt(runs, r) {
+				g1 := int(runs[r+1].g0)
+				la.SolveFactored2(&fent.mats[r], fent.pivs[r], rhs[g0*n:g0*n+n],
+					&fent.mats[r+1], fent.pivs[r+1], rhs[g1*n:g1*n+n])
+				r++
+				continue
+			}
 			la.SolveFactoredMulti(&fent.mats[r], fent.pivs[r], rhs[g0*n:(g0+k)*n], k)
 		}
 		if instr {
@@ -124,12 +156,32 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 	sigt := s.sigtEff[mat]
 	ge := s.cfg.Solver == SolverGE
 	var firstErr error
-	for _, run := range s.sigtRuns[mat] {
-		g0, k := int(run.g0), int(run.k)
+	for r := 0; r < len(runs); r++ {
+		g0, k := int(runs[r].g0), int(runs[r].k)
 		if instr {
 			t0 = time.Now()
 		}
 		la.AddScaledTo(st.ws.A.Data, st.base, mass, sigt[g0])
+		if ge && pairAt(runs, r) {
+			g1 := int(runs[r+1].g0)
+			la.AddScaledTo(st.a2.Data, st.base, mass, sigt[g1])
+			if instr {
+				st.asmNS += time.Since(t0).Nanoseconds()
+				t0 = time.Now()
+			}
+			err0, err1 := la.SolveGE2(st.ws.A, rhs[g0*n:g0*n+n], st.a2, rhs[g1*n:g1*n+n])
+			if instr {
+				st.solveNS += time.Since(t0).Nanoseconds()
+			}
+			if err0 != nil && firstErr == nil {
+				firstErr = groupError(a, e, g0, err0)
+			}
+			if err1 != nil && firstErr == nil {
+				firstErr = groupError(a, e, g1, err1)
+			}
+			r++
+			continue
+		}
 		if instr {
 			st.asmNS += time.Since(t0).Nanoseconds()
 			t0 = time.Now()
@@ -144,10 +196,22 @@ func (s *Solver) solveElemBatched(st *workerState, a, e int) error {
 			st.solveNS += time.Since(t0).Nanoseconds()
 		}
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, g0, err)
+			firstErr = groupError(a, e, g0, err)
 		}
 	}
 	return firstErr
+}
+
+// pairAt reports whether runs r and r+1 are both single groups, which
+// the batched kernel solves as one lockstep pair (la.SolveGE2,
+// la.SolveFactored2).
+func pairAt(runs []sigtRun, r int) bool {
+	return runs[r].k == 1 && r+1 < len(runs) && runs[r+1].k == 1
+}
+
+// groupError gives a local solve failure its task and group context.
+func groupError(a, e, g int, err error) error {
+	return fmt.Errorf("core: angle %d elem %d group %d: %w", a, e, g, err)
 }
 
 // assembleRHSAll builds the right-hand sides of every group of one
@@ -162,48 +226,16 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 	n := s.nN
 	nf := s.re.NF
 	nG := s.nG
-	mass := em.Mass[: n*n : n*n]
 	rhs = rhs[: nG*n : nG*n]
 
-	// Volumetric source pass: b_g = M q_tot,g with the P1 and BDF1
-	// corrections applied per group exactly as the scalar path does.
-	p1 := s.cfg.ScatOrder >= 1
-	for g := 0; g < nG; g++ {
-		base := s.phiIdx(e, g)
-		qt := s.qTot[base : base+n]
-		if p1 {
-			q1x := s.qTot1[0][base : base+n]
-			q1y := s.qTot1[1][base : base+n]
-			q1z := s.qTot1[2][base : base+n]
-			sqt := st.qt[:n:n]
-			for i := range sqt {
-				sqt[i] = qt[i] + 3*(om[0]*q1x[i]+om[1]*q1y[i]+om[2]*q1z[i])
-			}
-			qt = sqt
-		}
-		if s.psiPrev != nil {
-			vd := s.vdelt(g)
-			pb := s.psiIdx(a, e, g)
-			prev := s.psiPrev[pb : pb+n]
-			if &qt[0] != &st.qt[0] {
-				copy(st.qt, qt)
-				qt = st.qt[:n:n]
-			}
-			for i := range qt {
-				qt[i] += vd * prev[i]
-			}
-		}
-		b := rhs[g*n : g*n+n]
-		for i := range b {
-			// Length-matched reslice: the prove pass drops the qt[j] bounds
-			// check from the dot product (check_bce).
-			row := mass[i*n : i*n+n][:len(qt)]
-			acc := 0.0
-			for j, v := range row {
-				acc += v * qt[j]
-			}
-			b[i] = acc
-		}
+	// Volumetric source pass: b_g = M q_tot,g. Steady isotropic runs
+	// copy the product PrepareInner already formed for this element;
+	// P1 and BDF1 sources depend on the ordinate and are formed per task.
+	if s.mq != nil {
+		base := s.phiIdx(e, 0)
+		copy(rhs, s.mq[base:base+nG*n])
+	} else {
+		s.angularSourceAll(st, rhs, a, e)
 	}
 
 	// Face pass: subtract the upwind inflow of each inflow face from
@@ -256,6 +288,45 @@ func (s *Solver) assembleRHSAll(st *workerState, rhs []float64, a, e int) {
 				}
 			}
 		}
+	}
+}
+
+// angularSourceAll writes b_g = M q_g for every group of one (angle,
+// elem) task when the source depends on the ordinate: the P1 and BDF1
+// corrections are applied per group exactly as the scalar path does.
+func (s *Solver) angularSourceAll(st *workerState, rhs []float64, a, e int) {
+	om := s.cfg.Quad.Angles[a].Omega
+	n := s.nN
+	nG := s.nG
+	mass := s.em[e].Mass[: n*n : n*n]
+	rhs = rhs[: nG*n : nG*n]
+	p1 := s.cfg.ScatOrder >= 1
+	for g := 0; g < nG; g++ {
+		base := s.phiIdx(e, g)
+		qt := s.qTot[base : base+n]
+		if p1 {
+			q1x := s.qTot1[0][base : base+n]
+			q1y := s.qTot1[1][base : base+n]
+			q1z := s.qTot1[2][base : base+n]
+			sqt := st.qt[:n:n]
+			for i := range sqt {
+				sqt[i] = qt[i] + 3*(om[0]*q1x[i]+om[1]*q1y[i]+om[2]*q1z[i])
+			}
+			qt = sqt
+		}
+		if s.psiPrev != nil {
+			vd := s.vdelt(g)
+			pb := s.psiIdx(a, e, g)
+			prev := s.psiPrev[pb : pb+n]
+			if &qt[0] != &st.qt[0] {
+				copy(st.qt, qt)
+				qt = st.qt[:n:n]
+			}
+			for i := range qt {
+				qt[i] += vd * prev[i]
+			}
+		}
+		massMatVec(rhs[g*n:g*n+n], mass, qt)
 	}
 }
 
@@ -343,5 +414,23 @@ func (s *Solver) subInflowFace(b, up []float64, fb []float64, fn []int, om [3]fl
 			acc += (om[0]*fxr[l] + om[1]*fyr[l] + om[2]*fzr[l]) * v
 		}
 		b[gi] -= acc
+	}
+}
+
+// massMatVec writes b = M q for one (element, group): row by row, each
+// row an ascending-j dot product. The batched kernel and PrepareInner's
+// hoisted product both use it, so the two agree bit for bit.
+func massMatVec(b, mass, q []float64) {
+	n := len(b)
+	q = q[:n:n]
+	for i := range b {
+		// Length-matched reslice: the prove pass drops the q[j] bounds
+		// check from the dot product (check_bce).
+		row := mass[i*n : i*n+n][:len(q)]
+		acc := 0.0
+		for j, v := range row {
+			acc += v * q[j]
+		}
+		b[i] = acc
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"unsnap/internal/mesh"
@@ -94,6 +95,14 @@ func TestKernelBatchedBitwise(t *testing.T) {
 			cfg.ScatOrder = 1
 			return cfg
 		}, 2, false},
+		// Lockstep group pairs (la.SolveGE2 / la.SolveFactored2), through
+		// the factor cache and around it: an odd ramp leaves an unpaired
+		// tail run; the mixed library interleaves pairs, multi-group runs
+		// and a tail.
+		{"ramp5/t2", runsProblem([]int{0, 1, 2, 3, 4}, false), 2, false},
+		{"ramp5-uncached/t2", runsProblem([]int{0, 1, 2, 3, 4}, true), 2, false},
+		{"mixedruns/t2", runsProblem(mixedRuns, false), 2, false},
+		{"mixedruns-uncached/t2", runsProblem(mixedRuns, true), 2, false},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -112,6 +121,53 @@ func TestKernelBatchedBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// mixedRuns maps each of 10 groups to the ramp group whose sigma_t it
+// takes, giving sigma_t runs of lengths 1,1,2,1,1,3,1: two pairs, two
+// multi-group runs between them and an unpaired tail.
+var mixedRuns = []int{0, 1, 2, 2, 4, 5, 6, 6, 6, 9}
+
+// runsProblem returns engineProblem's mesh and quadrature with a
+// len(pattern)-group ramped library in which group g takes the sigma_t
+// of group pattern[g] (pattern[g] = g keeps the ramp: every run has
+// length one). noCache turns the factor cache off, so every task forms
+// and eliminates its own matrices.
+func runsProblem(pattern []int, noCache bool) func(t *testing.T) Config {
+	return func(t *testing.T) Config {
+		t.Helper()
+		m, q, lib := testProblem(t, 4, len(pattern), 3, 0.004)
+		for mat := range lib.Total {
+			ramp := append([]float64(nil), lib.Total[mat]...)
+			for g, src := range pattern {
+				lib.Total[mat][g] = ramp[src]
+			}
+		}
+		return Config{
+			Mesh: m, Order: 1, Quad: q, Lib: lib,
+			MaxInners: 3, MaxOuters: 2, ForceIterations: true,
+			noFactorCache: noCache,
+		}
+	}
+}
+
+// TestRunsProblemLayout pins the run decompositions the pair variants
+// of TestKernelBatchedBitwise rely on.
+func TestRunsProblemLayout(t *testing.T) {
+	for _, tc := range []struct {
+		pattern []int
+		want    []sigtRun
+	}{
+		{[]int{0, 1, 2, 3, 4}, []sigtRun{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}}},
+		{mixedRuns, []sigtRun{{0, 1}, {1, 1}, {2, 2}, {4, 1}, {5, 1}, {6, 3}, {9, 1}}},
+	} {
+		cfg := runsProblem(tc.pattern, false)(t)
+		for mat, runs := range buildSigtRuns(cfg.Lib.Total) {
+			if fmt.Sprint(runs) != fmt.Sprint(tc.want) {
+				t.Fatalf("pattern %v material %d: runs %v, want %v", tc.pattern, mat, runs, tc.want)
+			}
+		}
 	}
 }
 

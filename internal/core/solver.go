@@ -43,6 +43,10 @@ type Solver struct {
 	phiOld []float64
 	qOuter []float64 // fixed + group-to-group source (per outer)
 	qTot   []float64 // qOuter + within-group source (per inner)
+	// mq is M_e q_tot per (element, group), formed once per inner by
+	// PrepareInner for the batched kernel when the source does not depend
+	// on the ordinate (isotropic and steady); nil otherwise.
+	mq []float64
 
 	// Time-dependent state: previous-step angular flux and the effective
 	// total cross section sigma_t + 1/(v_g dt); for steady runs sigtEff
@@ -195,6 +199,10 @@ func New(cfg Config) (*Solver, error) {
 		s.sigtEff = cfg.Lib.Total
 	}
 	s.sigtRuns = buildSigtRuns(s.sigtEff)
+	if cfg.Scheme.engineBacked() && cfg.Kernel == KernelBatched && !cfg.PreAssembled &&
+		cfg.ScatOrder == 0 && cfg.Time == nil {
+		s.mq = make([]float64, size)
+	}
 
 	if cfg.Accelerate == AccelDSA {
 		if art.Accel == nil {
@@ -255,18 +263,24 @@ func (s *Solver) initSweepClosures() {
 	p1 := s.cfg.ScatOrder >= 1
 	s.prepInnerFn = func(_, e int) {
 		mat := s.cfg.Mesh.Elems[e].Material
+		n := s.nN
 		for g := 0; g < s.nG; g++ {
 			base := s.phiIdx(e, g)
 			sc := lib.Scatter[mat][g][g]
-			for i := 0; i < s.nN; i++ {
+			for i := 0; i < n; i++ {
 				s.qTot[base+i] = s.qOuter[base+i] + sc*s.phi[base+i]
 				s.phiOld[base+i] = s.phi[base+i]
 				s.phi[base+i] = 0
 			}
+			if s.mq != nil {
+				// The batched kernel's volumetric source, hoisted out of
+				// the per-ordinate task body (kernel.go).
+				massMatVec(s.mq[base:base+n], s.em[e].Mass, s.qTot[base:base+n])
+			}
 			if p1 {
 				sc1 := lib.ScatterP1[mat][g][g]
 				for d := 0; d < 3; d++ {
-					for i := 0; i < s.nN; i++ {
+					for i := 0; i < n; i++ {
 						s.qTot1[d][base+i] = s.qOuter1[d][base+i] + sc1*s.cur[d][base+i]
 						s.cur[d][base+i] = 0
 					}
@@ -387,6 +401,9 @@ func (s *Solver) ResetState() {
 	zero(s.phiOld)
 	zero(s.qOuter)
 	zero(s.qTot)
+	if s.mq != nil {
+		zero(s.mq)
+	}
 	if s.psiPrev != nil {
 		zero(s.psiPrev)
 	}

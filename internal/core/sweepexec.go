@@ -26,17 +26,18 @@ var errEngineStalled = errors.New("core: sweep engine stalled with unfinished el
 // directly in the task's psi slab (see solveElemBatched).
 type workerState struct {
 	ws      *la.Workspace
-	base    []float64 // engine: -Omega·G + outflow faces, reused per group
-	gather  []int32   // engine: upwind gather node offsets of one face
-	up      []float64 // upwind nodal values in our face ordering
-	qt      []float64 // per-angle effective source (time-dependent runs)
+	base    []float64  // engine: -Omega·G + outflow faces, reused per group
+	a2      *la.Matrix // engine: second matrix of a lockstep group pair
+	gather  []int32    // engine: upwind gather node offsets of one face
+	up      []float64  // upwind nodal values in our face ordering
+	qt      []float64  // per-angle effective source (time-dependent runs)
 	asmNS   int64
 	solveNS int64
 }
 
 // newWorkerState allocates one worker's scratch, sized from the
-// artifact's kernel dimensions; the base matrix and gather scratch are
-// engine-only and skipped for the legacy bucket schemes.
+// artifact's kernel dimensions; the base matrix, pair matrix and gather
+// scratch are engine-only and skipped for the legacy bucket schemes.
 func newWorkerState(dims build.KernelDims, engine bool) *workerState {
 	st := &workerState{
 		ws: la.NewWorkspace(dims.NN),
@@ -45,6 +46,7 @@ func newWorkerState(dims build.KernelDims, engine bool) *workerState {
 	}
 	if engine {
 		st.base = make([]float64, dims.NN*dims.NN)
+		st.a2 = la.NewMatrix(dims.NN)
 		st.gather = make([]int32, dims.NF)
 	}
 	return st

@@ -29,5 +29,7 @@
 // against each other to near machine precision, and every solver-facing
 // layer treats the choice as an Options knob with identical convergence
 // behaviour. The multi-RHS group solve (factor once, back-solve per
-// group) is pinned bitwise against the solve-per-group path it replaces.
+// group) and the lockstep pair solves (two independent systems
+// interleaved) are pinned bitwise against the single-system routines they
+// replace.
 package la

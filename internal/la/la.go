@@ -85,8 +85,15 @@ func SolveGE(a *Matrix, b, x []float64) error {
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("la: SolveGE size mismatch: n=%d len(b)=%d len(x)=%d", n, len(b), len(x))
 	}
-	ad := a.Data
-	for k := 0; k < n; k++ {
+	return solveGEFrom(a.Data, n, b, x, 0)
+}
+
+// solveGEFrom runs SolveGE's elimination from step k0 on (the first k0
+// steps already applied), then its back substitution. SolveGE2 uses it to
+// finish the healthy member of a pair whose other member hit a zero
+// pivot at step k0.
+func solveGEFrom(ad []float64, n int, b, x []float64, k0 int) error {
+	for k := k0; k < n; k++ {
 		// Partial pivot: find the largest |a[i][k]| for i >= k.
 		p := k
 		pv := math.Abs(ad[k*n+k])

@@ -59,6 +59,12 @@ go test -race -run 'Accel|DSA|SolvePCG' ./internal/core ./internal/comm ./intern
 # failure-domain layer's whole contract is concurrency-shaped, so it
 # only counts when the detector watches it.
 go test -race -run 'Fault|Chaos|Deadline' ./internal/fault ./internal/comm .
+# Lifecycle suite repeated WITHOUT the race detector: the detector's
+# slowed scheduling hides short ordering windows (a Close that stopped
+# the engines while a pipelined receiver was still applying a buffered
+# transfer passed every -race run), so close, cancel, deadline and
+# degrade paths also run many times at full speed.
+go test -count=20 -run 'Close|Cancel|Deadline|Degrade' ./internal/comm .
 # Solve-service suite under the race detector: the worker pool, the
 # close-and-replace event broadcast, cancel-vs-dequeue and the
 # shutdown drain are all cross-goroutine by design, and the cancel test's
