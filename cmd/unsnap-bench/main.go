@@ -12,8 +12,7 @@
 //	unsnap-bench -experiment all
 //
 // Experiments (comma-separable): table1, table2, fig3, fig4, tradeoffs,
-// jacobi, atomic, preassembled, engine, comm, cycles, setup, kernel,
-// accel, all.
+// jacobi, atomic, preassembled, engine, comm, cycles, setup, accel, all.
 // The engine experiment compares the persistent worker-pool sweep engine
 // against a legacy bucket executor; the comm experiment compares the
 // lagged (block Jacobi) and pipelined (mid-sweep streaming) halo
@@ -22,23 +21,19 @@
 // path, the cycle-aware engine under both within-SCC cut rules
 // (element-index and feedback-arc, with a per-strategy lag-set and
 // inners-to-convergence comparison) and the engine behind the pipelined
-// protocol; the kernel experiment compares the engine's batched
-// (group-blocked, allocation-free) task body against the scalar
-// per-group body, reporting per-task nanoseconds and steady-state
-// allocations per task; the accel experiment iterates a
-// scattering-dominated problem to convergence with synthetic diffusion
-// acceleration off and on (single-domain, cyclic and 2-rank
-// lagged/pipelined configurations), reporting inner-iteration and
-// wall-clock speedups plus the converged-flux agreement. With -json, all
-// record their measurements for
+// protocol; the accel experiment iterates a scattering-dominated problem
+// to convergence with synthetic diffusion acceleration off and on
+// (single-domain, cyclic and 2-rank lagged/pipelined configurations),
+// reporting inner-iteration and wall-clock speedups plus the
+// converged-flux agreement. With -json, all record their measurements for
 // the perf trajectory: sections merge by key, so refreshing one
 // experiment preserves the others' history (scripts/bench.sh runs them
 // and writes BENCH_sweep.json). -smoke shrinks the sweep experiments
-// (engine, comm, cycles, kernel) to a seconds-scale correctness pass —
-// tiny meshes, one forced inner, no JSON write — so CI can exercise the
-// bench paths on every push without bit-rot between real refreshes; the
-// paper-table experiments are not shrunk and keep their bench-scale
-// defaults.
+// (engine, comm, cycles, setup, accel) to a seconds-scale correctness
+// pass — tiny meshes, one forced inner, no JSON write — so CI can
+// exercise the bench paths on every push without bit-rot between real
+// refreshes; the paper-table experiments are not shrunk and keep their
+// bench-scale defaults.
 //
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiments (see the README's benchmarking section for the analysis
@@ -80,7 +75,7 @@ func parseThreads(s string) ([]int, error) {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("unsnap-bench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "comma-separated list of table1|table2|fig3|fig4|tradeoffs|jacobi|atomic|preassembled|engine|comm|cycles|setup|kernel|accel|all")
+	experiment := fs.String("experiment", "all", "comma-separated list of table1|table2|fig3|fig4|tradeoffs|jacobi|atomic|preassembled|engine|comm|cycles|setup|accel|all")
 	threadsFlag := fs.String("threads", "1,2", "comma-separated worker counts for scaling experiments")
 	jsonPath := fs.String("json", "", "write the engine experiment's comparison to this JSON file")
 	commit := fs.String("commit", "", "git revision to stamp into the engine JSON report")
@@ -369,29 +364,6 @@ func run(args []string) error {
 		harness.FprintSetup(os.Stdout, sec)
 		fmt.Println()
 		sections.Setup = sec
-	}
-	if want("kernel") {
-		ran = true
-		cfg := harness.DefaultKernel()
-		if *smoke {
-			cfg.Problem.NX, cfg.Problem.NY, cfg.Problem.NZ = 4, 4, 4
-			cfg.Problem.AnglesPerOctant, cfg.Problem.Groups = 2, 2
-			cfg.AllocSweeps = 2
-		}
-		override(&cfg.Problem)
-		cfg.Threads = threads
-		if innersSet {
-			cfg.Inners = *inners
-		}
-		fmt.Printf("== Task kernel: batched vs scalar bodies (%d^3 elements, %d ang/oct, %d groups) ==\n",
-			cfg.Problem.NX, cfg.Problem.AnglesPerOctant, cfg.Problem.Groups)
-		rows, err := harness.RunKernel(cfg)
-		if err != nil {
-			return err
-		}
-		harness.FprintKernel(os.Stdout, cfg, rows)
-		fmt.Println()
-		sections.Kernel = harness.KernelSectionOf(cfg, rows)
 	}
 	if want("accel") {
 		ran = true

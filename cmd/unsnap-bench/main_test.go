@@ -34,6 +34,11 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-experiment", "nope,bogus"}); err == nil {
 		t.Fatal("expected unknown-experiment error for list")
 	}
+	// "kernel" names no experiment: the scalar task body it compared
+	// against is a test-only oracle.
+	if err := run([]string{"-experiment", "kernel"}); err == nil {
+		t.Fatal("expected unknown-experiment error for kernel")
+	}
 }
 
 func TestRunExperimentList(t *testing.T) {

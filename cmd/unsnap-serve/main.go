@@ -71,7 +71,7 @@ func run(args []string) error {
 	}
 
 	s := serve.New(cfg)
-	httpServer := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpServer := newHTTPServer(*addr, s.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -102,6 +102,26 @@ func run(args []string) error {
 	return nil
 }
 
+// Connection timeouts: a client that never finishes its request headers,
+// or parks an idle keep-alive connection, cannot pin a server goroutine
+// and socket forever. No WriteTimeout: the SSE progress streams of
+// /v1/jobs/{id}/events stay open for the whole solve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the service's http.Server with the connection
+// timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // smokeSpec is the tiny solve the self-test submits (twice).
 const smokeSpec = `{
 	"problem": {"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,
@@ -118,7 +138,7 @@ func runSmoke(cfg serve.Config) error {
 	if err != nil {
 		return err
 	}
-	httpServer := &http.Server{Handler: s.Handler()}
+	httpServer := newHTTPServer("", s.Handler())
 	go func() { _ = httpServer.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 

@@ -244,11 +244,6 @@ func (d *Driver) degradeToLagged() error {
 	}
 	d.pipe = nil
 	d.inj = nil
-	if d.cfg.Rank.Octants == core.OctantsFused {
-		// Octant fusion can never engage under halo callbacks; fall back
-		// rather than reject mid-solve.
-		d.cfg.Rank.Octants = core.OctantsAuto
-	}
 	if err := d.buildLagged(); err != nil {
 		return fmt.Errorf("comm: degrading to the lagged protocol: %w", err)
 	}

@@ -32,7 +32,7 @@ func TestAccelFactorCacheBitwise(t *testing.T) {
 				cfg.Solver = v.solver
 				cfg.Threads = 4
 				cfg.noFactorCache = noCache
-				return runKernel(t, cfg, KernelBatched, false)
+				return runKernel(t, cfg, false, false)
 			}
 			refPhi, refPsi := mk(true)
 			phi, psi := mk(false)

@@ -25,9 +25,9 @@ import (
 //     at once (their dependency graphs are independent), multiplying the
 //     available parallelism by Quad.PerOctant on shallow-bucket meshes.
 //   - Octant overlap: on vacuum problems (no Boundary callback) nothing
-//     couples the octants inside one sweep, so under OctantsAuto the
-//     engine fuses all eight octants into a single counter-driven phase —
-//     task ids span (octant, ordinate, element) — removing the seven
+//     couples the octants inside one sweep, so the engine fuses all
+//     eight octants into a single counter-driven phase — task ids span
+//     (octant, ordinate, element) — removing the seven
 //     quiesce barriers and the per-octant wavefront starvation behind the
 //     paper's Figure 3 strong-scaling wall. Cyclic meshes stay fused:
 //     their lagged couplings read the previous-iterate psi snapshot, not
@@ -635,15 +635,14 @@ func (s *Solver) reduceFluxFromPsi() {
 // octantsFusable reports whether the engine may run all eight octants as
 // one task graph. It requires:
 //
-//   - OctantsAuto or OctantsFused (OctantsSequential forces phases);
 //   - vacuum boundaries: a Boundary callback (reflective mirror reads,
 //     block Jacobi halos) may observe the in-sweep octant order, which
 //     the fused phase does not preserve;
 //   - a fused face-matrix cache that is not running in per-octant slab
-//     mode, since a slab can only track sequential octant phases. Under
-//     OctantsAuto the slab (and sequential phases) wins at sizes where
-//     the full cache does not fit; OctantsFused makes the opposite call
-//     (buildFusedFaces skips the slab tier, so this term never bites).
+//     mode, since a slab can only track sequential octant phases. At
+//     sizes where the full cache does not fit the slab (and sequential
+//     phases) wins, except for External solvers, whose buildFusedFaces
+//     skips the slab tier so this term never bites.
 //
 // Cycle lagging (AllowCycles) does NOT pin the octant order: lagged
 // couplings read the immutable previous-iterate psi snapshot, so their
@@ -652,15 +651,7 @@ func (s *Solver) reduceFluxFromPsi() {
 // reduceFluxFromPsi reduction makes the relaxed execution order
 // bitwise-safe for everything else.
 func (s *Solver) octantsFusable() bool {
-	return s.octantOverlapSafe() && !s.fusedSlab
-}
-
-// octantOverlapSafe holds the configuration-level terms of the fusion
-// decision (knob, boundary), shared between octantsFusable and
-// buildFusedFaces' slab-tier choice so the two cannot drift.
-func (s *Solver) octantOverlapSafe() bool {
-	return s.cfg.Octants != OctantsSequential &&
-		s.cfg.Boundary == nil
+	return s.cfg.Boundary == nil && !s.fusedSlab
 }
 
 // OctantsFused reports whether the engine overlaps all eight octants in
@@ -704,13 +695,12 @@ func (s *Solver) buildFusedFaces() {
 	block := nf * nf
 	per := s.cfg.Quad.PerOctant
 	_, slab := fusedCachePlan(s.nA, per, s.nE, block)
-	if (s.cfg.Octants == OctantsFused || s.ext != nil) && s.octantOverlapSafe() {
-		// The caller chose octant overlap over the slab cache: a slab can
-		// only track sequential phases, so it is full cache or nothing.
-		// When overlap is ineligible anyway (boundary callback) the run
-		// stays sequential and the slab remains the right call.
-		// External (streamed halo) solvers must overlap — resolutions
-		// address tasks of any octant — so they make the same choice.
+	if s.ext != nil {
+		// External (streamed halo) solvers must overlap the octants —
+		// resolutions address tasks of any octant — and a slab can only
+		// track sequential phases, so it is full cache or nothing. (A
+		// Boundary callback, the one other thing that pins the phases,
+		// is rejected alongside External at validation.)
 		slab = false
 	}
 	if slab {

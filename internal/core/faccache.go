@@ -70,12 +70,12 @@ type factorCache struct {
 }
 
 // newFactorCache sizes and allocates the cache, or returns nil when
-// caching is off: non-batched kernels and pre-assembled mode never run
-// the batched task body, Config.noFactorCache is the A/B test knob, and
+// caching is off: the scalar-kernel oracle and pre-assembled mode never
+// run the batched task body, Config.noFactorCache is the A/B test knob, and
 // the byte budget rejects meshes without repeated geometry.
 func newFactorCache(s *Solver) *factorCache {
 	cfg := &s.cfg
-	if cfg.Kernel != KernelBatched || cfg.PreAssembled || cfg.noFactorCache {
+	if cfg.scalarKernel || cfg.PreAssembled || cfg.noFactorCache {
 		return nil
 	}
 	if s.art.GeomClass == nil || s.art.GeomClasses == 0 {

@@ -8,9 +8,9 @@ import (
 	"unsnap/internal/la"
 )
 
-// This file is the engine's batched task kernel (Config.Kernel ==
-// KernelBatched, the default): all energy groups of one (ordinate,
-// element) task executed as one group-batched, allocation-free body.
+// This file is the engine's batched task kernel (every engine task except
+// pre-assembled mode's): all energy groups of one (ordinate, element)
+// task executed as one group-batched, allocation-free body.
 //
 //   - RHS batching: the right-hand sides of every group are assembled in
 //     one pass over the element. The volumetric source pass copies the
@@ -64,9 +64,10 @@ import (
 // (massMatVec serves both), merely computed once instead of nA times; the
 // pair routines give each member exactly the single-system sequence
 // (la/batch.go). TestKernelBatchedBitwise pins batched == scalar flux bit
-// for bit across the boundary-condition matrix, P1, BDF1, and run layouts
-// with pairs, multi-group runs and unpaired tails, with and without the
-// factor cache.
+// for bit (the scalar kernel selected by the test-only
+// Config.scalarKernel) across the boundary-condition matrix, P1, BDF1,
+// and run layouts with pairs, multi-group runs and unpaired tails, with
+// and without the factor cache.
 
 // sigtRun is one maximal run of consecutive groups sharing a sigma_t
 // value within one material: groups [g0, g0+k) of the effective totals.

@@ -36,12 +36,13 @@ func TestBuildSigtRuns(t *testing.T) {
 	}
 }
 
-// runKernel runs one configuration under the given kernel mode and
-// returns the layout-independent flux snapshots.
-func runKernel(t *testing.T, cfg Config, k KernelMode, reflect bool) (phi, psi []float64) {
+// runKernel runs one configuration on the batched kernel, or on the
+// scalar-kernel oracle when scalar is set, and returns the
+// layout-independent flux snapshots.
+func runKernel(t *testing.T, cfg Config, scalar, reflect bool) (phi, psi []float64) {
 	t.Helper()
 	cfg.Scheme = SchemeEngine
-	cfg.Kernel = k
+	cfg.scalarKernel = scalar
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +109,8 @@ func TestKernelBatchedBitwise(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := v.cfg(t)
 			cfg.Threads = v.threads
-			refPhi, refPsi := runKernel(t, v.cfg(t), KernelScalar, v.reflect)
-			phi, psi := runKernel(t, cfg, KernelBatched, v.reflect)
+			refPhi, refPsi := runKernel(t, v.cfg(t), true, v.reflect)
+			phi, psi := runKernel(t, cfg, false, v.reflect)
 			for i := range refPhi {
 				if phi[i] != refPhi[i] {
 					t.Fatalf("phi[%d]: batched %v vs scalar %v (not bitwise)", i, phi[i], refPhi[i])
@@ -217,10 +218,10 @@ func TestKernelFlatSigtSingleRun(t *testing.T) {
 	}
 	s.Close()
 
-	refPhi, refPsi := runKernel(t, flatSigtConfig(t, 4), KernelScalar, false)
+	refPhi, refPsi := runKernel(t, flatSigtConfig(t, 4), true, false)
 	cfg2 := flatSigtConfig(t, 4)
 	cfg2.Threads = 4
-	phi, psi := runKernel(t, cfg2, KernelBatched, false)
+	phi, psi := runKernel(t, cfg2, false, false)
 	for i := range refPhi {
 		if phi[i] != refPhi[i] {
 			t.Fatalf("phi[%d]: batched %v vs scalar %v (not bitwise)", i, phi[i], refPhi[i])
@@ -237,14 +238,14 @@ func TestKernelFlatSigtSingleRun(t *testing.T) {
 // (SolverDGESV) of the batched kernel, which TestKernelBatchedBitwise's
 // default-SolverGE variants never reach.
 func TestKernelDGESVBatchedBitwise(t *testing.T) {
-	mk := func(k KernelMode) ([]float64, []float64) {
+	mk := func(scalar bool) ([]float64, []float64) {
 		cfg := flatSigtConfig(t, 4)
 		cfg.Solver = SolverDGESV
 		cfg.Threads = 2
-		return runKernel(t, cfg, k, false)
+		return runKernel(t, cfg, scalar, false)
 	}
-	refPhi, refPsi := mk(KernelScalar)
-	phi, psi := mk(KernelBatched)
+	refPhi, refPsi := mk(true)
+	phi, psi := mk(false)
 	for i := range refPhi {
 		if phi[i] != refPhi[i] {
 			t.Fatalf("phi[%d]: batched %v vs scalar %v (not bitwise)", i, phi[i], refPhi[i])

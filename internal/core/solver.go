@@ -199,7 +199,7 @@ func New(cfg Config) (*Solver, error) {
 		s.sigtEff = cfg.Lib.Total
 	}
 	s.sigtRuns = buildSigtRuns(s.sigtEff)
-	if cfg.Scheme.engineBacked() && cfg.Kernel == KernelBatched && !cfg.PreAssembled &&
+	if cfg.Scheme.engineBacked() && !cfg.scalarKernel && !cfg.PreAssembled &&
 		cfg.ScatOrder == 0 && cfg.Time == nil {
 		s.mq = make([]float64, size)
 	}

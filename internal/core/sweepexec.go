@@ -295,14 +295,13 @@ func (s *Solver) solveOne(st *workerState, a, e, g int) error {
 // solveElem is the engine's unit of work: all energy groups of one
 // (angle, elem) task. The default batched kernel (kernel.go) factors
 // once per sigma_t run and solves the run's groups as a multi-RHS block;
-// the scalar kernel below is the pre-batching baseline, kept for A/B
-// benchmarking and as the bitwise-parity reference (and it also carries
-// the pre-assembled-matrix mode, whose per-group factors leave nothing
-// to batch). The scalar flux is NOT accumulated here — the engine
+// the scalar kernel below carries the pre-assembled-matrix mode, whose
+// per-group factors leave nothing to batch, and is the test-only
+// bitwise-parity oracle (Config.scalarKernel). The scalar flux is NOT accumulated here — the engine
 // reduces it from psi once per sweep, in deterministic ordinate order
 // (see reduceFluxFromPsi).
 func (s *Solver) solveElem(st *workerState, a, e int) error {
-	if s.preA == nil && s.cfg.Kernel == KernelBatched {
+	if s.preA == nil && !s.cfg.scalarKernel {
 		return s.solveElemBatched(st, a, e)
 	}
 	return s.solveElemScalar(st, a, e)

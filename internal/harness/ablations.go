@@ -179,7 +179,10 @@ type AtomicRow struct {
 // implementation, which the sweep engine has since replaced: Angles now
 // runs engine-backed (angle-parallel wavefronts, lock-free ordered
 // reduction), so this table documents the fix rather than reproducing
-// the paper's negative result. Expect Angles to match or beat AEG.
+// the paper's negative result. Expect Angles to match or beat AEG. The
+// Angles column also includes the engine's cross-octant overlap (this
+// vacuum problem fuses all eight octants into one task graph), so it
+// measures angle threading and octant overlap together.
 func RunAtomic(p unsnap.Problem, threads []int, inners int) ([]AtomicRow, error) {
 	rows := make([]AtomicRow, 0, len(threads))
 	for _, t := range threads {
@@ -187,10 +190,6 @@ func RunAtomic(p unsnap.Problem, threads []int, inners int) ([]AtomicRow, error)
 		for i, scheme := range []unsnap.Scheme{unsnap.AEG, unsnap.Angles} {
 			s, err := unsnap.NewSolver(p, unsnap.Options{
 				Scheme: scheme, Threads: t,
-				// Sequential octants keep the column a pure angle-threading
-				// measurement: cross-octant fusion is a separate optimisation
-				// (the engine experiment's overlap column measures it).
-				Octants:   unsnap.OctantsSequential,
 				MaxInners: inners, MaxOuters: 1, ForceIterations: true,
 			})
 			if err != nil {

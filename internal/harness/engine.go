@@ -36,24 +36,21 @@ func DefaultEngine() EngineConfig {
 		Threads: []int{1, 2, 4},
 		Legacy:  unsnap.AEg,
 		// 10 forced inners per measurement: at 5 the run-to-run noise on a
-		// small box is comparable to the engine-vs-overlap gap.
+		// small box is comparable to the gaps being measured.
 		Inners: 10,
 	}
 }
 
 // EngineRow is one measured thread count of the comparison. The ns/op
-// figures are per sweep (SweepSeconds over the forced inner count),
-// matching the go-bench BenchmarkEngine family. Engine is the sequential
-// -octant engine (the PR-1 behaviour, forced via OctantsSequential);
-// Overlap is the cross-octant fused task graph (OctantsAuto on a vacuum
-// problem). The speedups are relative to the legacy executor.
+// figures are per sweep (SweepSeconds over the forced inner count);
+// Engine is the default engine, which fuses the eight octants into one
+// task graph on this vacuum problem. Speedup is relative to the legacy
+// executor.
 type EngineRow struct {
-	Threads        int     `json:"threads"`
-	LegacyNsOp     float64 `json:"legacy_ns_op"`
-	EngineNsOp     float64 `json:"engine_ns_op"`
-	OverlapNsOp    float64 `json:"overlap_ns_op"`
-	Speedup        float64 `json:"speedup"`
-	OverlapSpeedup float64 `json:"overlap_speedup"`
+	Threads    int     `json:"threads"`
+	LegacyNsOp float64 `json:"legacy_ns_op"`
+	EngineNsOp float64 `json:"engine_ns_op"`
+	Speedup    float64 `json:"speedup"`
 }
 
 // ProblemShape is the serialised problem identification of a bench
@@ -123,7 +120,6 @@ type SweepReport struct {
 	Comm   *CommSection   `json:"comm,omitempty"`
 	Cycles *CyclesSection `json:"cycles,omitempty"`
 	Setup  *SetupSection  `json:"setup,omitempty"`
-	Kernel *KernelSection `json:"kernel,omitempty"`
 	Accel  *AccelSection  `json:"accel,omitempty"`
 }
 
@@ -134,36 +130,22 @@ type Sections struct {
 	Comm   *CommSection
 	Cycles *CyclesSection
 	Setup  *SetupSection
-	Kernel *KernelSection
 	Accel  *AccelSection
 }
 
-// RunEngine measures all three executors at every thread count: the
-// legacy bucket scheme, the engine with sequential octant phases, and
-// the engine with the fused cross-octant graph.
+// RunEngine measures the legacy bucket scheme and the engine at every
+// thread count.
 func RunEngine(cfg EngineConfig) ([]EngineRow, error) {
-	type variant struct {
-		scheme  unsnap.Scheme
-		octants unsnap.OctantMode
-	}
-	variants := []variant{
-		{cfg.Legacy, unsnap.OctantsAuto},
-		{unsnap.Engine, unsnap.OctantsSequential},
-		// OctantsFused (not Auto) so the overlap column stays a genuine
-		// cross-octant measurement even at sizes where Auto would prefer
-		// the slab cache and fall back to sequential phases.
-		{unsnap.Engine, unsnap.OctantsFused},
-	}
 	rows := make([]EngineRow, 0, len(cfg.Threads))
 	for _, threads := range cfg.Threads {
-		var nsop [3]float64
-		for i, v := range variants {
+		var nsop [2]float64
+		for i, scheme := range []unsnap.Scheme{cfg.Legacy, unsnap.Engine} {
 			s, err := unsnap.NewSolver(cfg.Problem, unsnap.Options{
-				Scheme: v.scheme, Threads: threads, Octants: v.octants,
+				Scheme: scheme, Threads: threads,
 				MaxInners: cfg.Inners, MaxOuters: 1, ForceIterations: true,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("harness: engine experiment scheme %v threads %d: %w", v.scheme, threads, err)
+				return nil, fmt.Errorf("harness: engine experiment scheme %v threads %d: %w", scheme, threads, err)
 			}
 			res, err := s.Run()
 			s.Close()
@@ -172,15 +154,9 @@ func RunEngine(cfg EngineConfig) ([]EngineRow, error) {
 			}
 			nsop[i] = res.SweepSeconds * 1e9 / float64(cfg.Inners)
 		}
-		row := EngineRow{
-			Threads:    threads,
-			LegacyNsOp: nsop[0], EngineNsOp: nsop[1], OverlapNsOp: nsop[2],
-		}
+		row := EngineRow{Threads: threads, LegacyNsOp: nsop[0], EngineNsOp: nsop[1]}
 		if nsop[1] > 0 {
 			row.Speedup = nsop[0] / nsop[1]
-		}
-		if nsop[2] > 0 {
-			row.OverlapSpeedup = nsop[0] / nsop[2]
 		}
 		rows = append(rows, row)
 	}
@@ -190,10 +166,9 @@ func RunEngine(cfg EngineConfig) ([]EngineRow, error) {
 // FprintEngine writes the comparison table.
 func FprintEngine(w io.Writer, cfg EngineConfig, rows []EngineRow) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Threads\t%s (ns/sweep)\tengine (ns/sweep)\toverlap (ns/sweep)\tspeedup\toverlap speedup\n", cfg.Legacy)
+	fmt.Fprintf(tw, "Threads\t%s (ns/sweep)\tengine (ns/sweep)\tspeedup\n", cfg.Legacy)
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.0f\t%.2fx\t%.2fx\n",
-			r.Threads, r.LegacyNsOp, r.EngineNsOp, r.OverlapNsOp, r.Speedup, r.OverlapSpeedup)
+		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.2fx\n", r.Threads, r.LegacyNsOp, r.EngineNsOp, r.Speedup)
 	}
 	tw.Flush()
 }
@@ -236,11 +211,6 @@ func WriteSweepJSON(path, commit string, s Sections) error {
 		sec := *s.Setup
 		sec.Commit, sec.Machine = commit, mi
 		rep.Setup = &sec
-	}
-	if s.Kernel != nil {
-		sec := *s.Kernel
-		sec.Commit, sec.Machine = commit, mi
-		rep.Kernel = &sec
 	}
 	if s.Accel != nil {
 		sec := *s.Accel

@@ -25,9 +25,6 @@ func TestRunEngineTiny(t *testing.T) {
 		if r.LegacyNsOp <= 0 || r.EngineNsOp <= 0 || r.Speedup <= 0 {
 			t.Fatalf("row not measured: %+v", r)
 		}
-		if r.OverlapNsOp <= 0 || r.OverlapSpeedup <= 0 {
-			t.Fatalf("octant-overlap column not measured: %+v", r)
-		}
 	}
 	var buf bytes.Buffer
 	FprintEngine(&buf, cfg, rows)
@@ -124,7 +121,7 @@ func TestRunCyclesTiny(t *testing.T) {
 	// section (with its original commit stamp) and restamp the top level.
 	engCfg := DefaultEngine()
 	engCfg.Problem = tinyProblem()
-	eng := EngineSectionOf(engCfg, []EngineRow{{Threads: 1, LegacyNsOp: 1, EngineNsOp: 1, OverlapNsOp: 1, Speedup: 1, OverlapSpeedup: 1}})
+	eng := EngineSectionOf(engCfg, []EngineRow{{Threads: 1, LegacyNsOp: 1, EngineNsOp: 1, Speedup: 1}})
 	if err := WriteSweepJSON(path, "cafe1234", Sections{Engine: eng}); err != nil {
 		t.Fatal(err)
 	}

@@ -287,6 +287,56 @@ func TestSolveFactored2Bitwise(t *testing.T) {
 	}
 }
 
+// BenchmarkLocalSolve times the raw dense solvers at the paper's Table I
+// matrix sizes, isolating the GE-vs-blocked-LU crossover from the sweep.
+func BenchmarkLocalSolve(b *testing.B) {
+	sizes := []struct {
+		name string
+		n    int
+	}{{"n8", 8}, {"n27", 27}, {"n64", 64}, {"n125", 125}, {"n216", 216}}
+	rng := rand.New(rand.NewSource(42))
+	for _, sz := range sizes {
+		a0 := NewMatrix(sz.n)
+		for i := 0; i < sz.n; i++ {
+			rowSum := 0.0
+			for j := 0; j < sz.n; j++ {
+				v := rng.Float64()*2 - 1
+				a0.Set(i, j, v)
+				if v < 0 {
+					rowSum -= v
+				} else {
+					rowSum += v
+				}
+			}
+			a0.Add(i, i, rowSum+1)
+		}
+		b.Run("GE/"+sz.name, func(b *testing.B) {
+			ws := NewWorkspace(sz.n)
+			for i := 0; i < b.N; i++ {
+				ws.A.CopyFrom(a0)
+				for j := range ws.B {
+					ws.B[j] = 1
+				}
+				if err := SolveGE(ws.A, ws.B, ws.X); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("DGESV/"+sz.name, func(b *testing.B) {
+			ws := NewWorkspace(sz.n)
+			for i := 0; i < b.N; i++ {
+				ws.A.CopyFrom(a0)
+				for j := range ws.B {
+					ws.B[j] = 1
+				}
+				if err := SolveDGESV(ws.A, ws.B, ws.Piv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPairSolve times two independent diagonally dominated systems
 // solved one after the other against the lockstep pair kernels, at the
 // order-1 and order-2 element sizes.

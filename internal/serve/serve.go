@@ -184,6 +184,12 @@ func (s *Server) submit(tenant string, spec unsnap.Spec) (*job, error) {
 	if s.cfg.MaxDeadline > 0 && (opts.Deadline == 0 || opts.Deadline > s.cfg.MaxDeadline) {
 		opts.Deadline = s.cfg.MaxDeadline
 	}
+	// The solver builds per-thread worker state, so an unbounded wire
+	// value could exhaust the server's memory; more threads than
+	// GOMAXPROCS cannot run at once anyway.
+	if maxThreads := runtime.GOMAXPROCS(0); opts.Threads > maxThreads {
+		opts.Threads = maxThreads
+	}
 
 	jctx, jcancel := context.WithCancel(s.baseCtx)
 	j := &job{

@@ -374,6 +374,27 @@ func TestServeQueueFull429(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestServeClampsThreads pins that a spec's thread count is bounded by
+// GOMAXPROCS at submission: the solver builds per-thread worker state,
+// so an unbounded wire value would let one request exhaust the server's
+// memory.
+func TestServeClampsThreads(t *testing.T) {
+	s, ts := startServer(t, Config{MaxConcurrent: 1})
+	huge := strings.Replace(tinySpec, `"epsi":1e-4`, `"threads":50000000,"epsi":1e-4`, 1)
+	status, m := submit(t, ts, huge, "")
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%v)", status, m)
+	}
+	id := m["id"].(string)
+	s.mu.Lock()
+	threads := s.jobs[id].opts.Threads
+	s.mu.Unlock()
+	if want := runtime.GOMAXPROCS(0); threads != want {
+		t.Fatalf("queued job threads %d, want clamped to GOMAXPROCS %d", threads, want)
+	}
+	waitState(t, ts, id, StateDone)
+}
+
 // TestServeBadRequests pins the validation surface at the HTTP boundary:
 // malformed bodies, unknown fields, unknown knob spellings and
 // service-unsupported modes are all structured 400s; unknown job ids are

@@ -24,11 +24,16 @@ go build ./...
 go build ./examples/...
 # Bench-tool smoke pass: every experiment path the perf trajectory
 # depends on (engine, comm protocols, cyclic meshes with both cycle
-# orders, build cache, task kernels, diffusion acceleration) executes end
+# orders, build cache, diffusion acceleration) executes end
 # to end on tiny problems — seconds, not minutes — so the bench plumbing
 # cannot bit-rot between real BENCH_sweep.json refreshes. -smoke never
 # writes JSON.
-go run ./cmd/unsnap-bench -experiment engine,comm,cycles,setup,kernel,accel -smoke
+go run ./cmd/unsnap-bench -experiment engine,comm,cycles,setup,accel -smoke
+# Wire-parser fuzz pass: ParseSpec must never panic on arbitrary bytes,
+# and every spec it accepts must reach a fixed point after one
+# SpecOf(Resolve(.)) round trip. Go's built-in fuzzer, seeded from the
+# spec tests; 10 s per CI run.
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s .
 # Artifact-cache smoke: two solves of one problem through one cache must
 # hit on the second build and match bitwise. The binary prints a
 # machine-checkable verdict line; grep pins it so a silent cache miss

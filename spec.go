@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
-
-	"unsnap/internal/core"
 )
 
 // Spec is the wire-format description of one solve: a Problem plus the
@@ -42,10 +41,6 @@ type SpecOptions struct {
 	Threads int    `json:"threads,omitempty"`
 	// Solver is "GE" (default) or "DGESV".
 	Solver string `json:"solver,omitempty"`
-	// Octants is "auto" (default), "sequential" or "fused".
-	Octants string `json:"octants,omitempty"`
-	// Kernel is "batched" (default) or "scalar".
-	Kernel string `json:"kernel,omitempty"`
 	// Accelerate is "none" (default) or "dsa".
 	Accelerate string `json:"accelerate,omitempty"`
 
@@ -68,6 +63,9 @@ type SpecOptions struct {
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
 	HealthChecks    bool    `json:"health_checks,omitempty"`
 }
+
+// maxDeadlineSeconds bounds a spec's deadline_seconds (about 11.6 days).
+const maxDeadlineSeconds = 1e6
 
 // ParseSpec decodes a JSON spec strictly: unknown fields are rejected (a
 // typo in a knob name means the caller's intent would be silently
@@ -129,22 +127,6 @@ func (sp Spec) Resolve() (Problem, Options, error) {
 	default:
 		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown solver %q (GE|DGESV)", so.Solver)
 	}
-	switch so.Octants {
-	case "", "auto":
-	case "sequential":
-		o.Octants = OctantsSequential
-	case "fused":
-		o.Octants = OctantsFused
-	default:
-		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown octant mode %q (auto|sequential|fused)", so.Octants)
-	}
-	switch so.Kernel {
-	case "", "batched":
-	case "scalar":
-		o.Kernel = KernelScalar
-	default:
-		return Problem{}, Options{}, fmt.Errorf("unsnap: unknown kernel %q (batched|scalar)", so.Kernel)
-	}
 	switch so.Accelerate {
 	case "", "none":
 	case "dsa":
@@ -160,10 +142,14 @@ func (sp Spec) Resolve() (Problem, Options, error) {
 		o.CycleOrder = ord
 	}
 	if so.DeadlineSeconds != 0 {
-		if !(so.DeadlineSeconds > 0) || so.DeadlineSeconds > 1e9 {
-			return Problem{}, Options{}, fmt.Errorf("unsnap: deadline_seconds %v invalid (need a finite positive number)", so.DeadlineSeconds)
+		// The cap keeps the deadline below 2^51 ns, where the float64
+		// seconds SpecOf writes back convert to the same whole
+		// nanoseconds again; rounding (not truncating) makes that exact,
+		// so a spec round trip is a fixed point.
+		if !(so.DeadlineSeconds > 0) || so.DeadlineSeconds > maxDeadlineSeconds {
+			return Problem{}, Options{}, fmt.Errorf("unsnap: deadline_seconds %v invalid (need a positive number of seconds up to %g)", so.DeadlineSeconds, float64(maxDeadlineSeconds))
 		}
-		o.Deadline = time.Duration(so.DeadlineSeconds * float64(time.Second))
+		o.Deadline = time.Duration(math.Round(so.DeadlineSeconds * float64(time.Second)))
 	}
 	if err := validateOptions(o, false); err != nil {
 		return Problem{}, Options{}, err
@@ -188,19 +174,13 @@ func SpecOf(p Problem, o Options) Spec {
 		TimeSteps:       o.TimeSteps,
 		TimeDt:          o.TimeDt,
 		HealthChecks:    o.HealthChecks,
-		DeadlineSeconds: o.Deadline.Seconds(),
+		DeadlineSeconds: float64(o.Deadline) / float64(time.Second),
 	}
 	if o.Scheme != Engine {
 		so.Scheme = o.Scheme.String()
 	}
 	if o.Solver != GE {
 		so.Solver = o.Solver.String()
-	}
-	if o.Octants != OctantsAuto {
-		so.Octants = core.OctantMode(o.Octants).String()
-	}
-	if o.Kernel != KernelBatched {
-		so.Kernel = core.KernelMode(o.Kernel).String()
 	}
 	if o.Accelerate != AccelNone {
 		so.Accelerate = o.Accelerate.String()

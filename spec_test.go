@@ -15,7 +15,6 @@ func TestSpecResolveRoundTrip(t *testing.T) {
 	p.Twist = 0.35
 	want := Options{
 		Scheme: Engine, Threads: 2, Solver: DGESV,
-		Octants: OctantsSequential, Kernel: KernelScalar,
 		Accelerate: AccelDSA,
 		Epsi:       1e-5, MaxInners: 7, MaxOuters: 3,
 		AllowCycles: true, CycleOrder: OrderFeedbackArc,
@@ -39,7 +38,6 @@ func TestSpecResolveRoundTrip(t *testing.T) {
 		t.Fatalf("problem round trip: got %+v, want %+v", gotP, p)
 	}
 	if gotO.Scheme != want.Scheme || gotO.Solver != want.Solver ||
-		gotO.Octants != want.Octants || gotO.Kernel != want.Kernel ||
 		gotO.Accelerate != want.Accelerate || gotO.CycleOrder != want.CycleOrder ||
 		gotO.Epsi != want.Epsi || gotO.MaxInners != want.MaxInners ||
 		gotO.MaxOuters != want.MaxOuters || gotO.AllowCycles != want.AllowCycles ||
@@ -60,7 +58,7 @@ func TestSpecMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Scheme != Engine || o.Kernel != KernelBatched || o.Accelerate != AccelNone {
+	if o.Scheme != Engine || o.Accelerate != AccelNone {
 		t.Fatalf("minimal spec did not resolve to defaults: %+v", o)
 	}
 }
@@ -73,13 +71,14 @@ func TestSpecRejections(t *testing.T) {
 		"order":1,"angles_per_octant":2,"groups":2}`
 	cases := map[string]string{
 		"unknown field":      `{` + valid + `, "optoins":{}}`,
+		"retired kernel":     `{` + valid + `, "options":{"kernel":"scalar"}}`,
+		"retired octants":    `{` + valid + `, "options":{"octants":"fused"}}`,
 		"unknown scheme":     `{` + valid + `, "options":{"scheme":"warp"}}`,
 		"unknown solver":     `{` + valid + `, "options":{"solver":"MKL"}}`,
-		"unknown octants":    `{` + valid + `, "options":{"octants":"diagonal"}}`,
-		"unknown kernel":     `{` + valid + `, "options":{"kernel":"simd"}}`,
 		"unknown accel":      `{` + valid + `, "options":{"accelerate":"p-air"}}`,
 		"unknown cycle rule": `{` + valid + `, "options":{"cycle_order":"random"}}`,
 		"negative deadline":  `{` + valid + `, "options":{"deadline_seconds":-1}}`,
+		"huge deadline":      `{` + valid + `, "options":{"deadline_seconds":1e7}}`,
 		"zero grid":          `{"problem":{"nx":0,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2}}`,
 		"bad scat ratio":     `{"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2,"scat_ratio":1.5}}`,
 		"dsa with reflect":   `{` + valid + `, "options":{"accelerate":"dsa","reflect":[true,false,false]}}`,
@@ -128,4 +127,58 @@ func TestSpecSolves(t *testing.T) {
 		t.Fatalf("final progress event %+v does not match result (inners %d, df %v)",
 			last, res.Inners, res.FinalDF)
 	}
+}
+
+// FuzzParseSpec drives the wire parser with arbitrary bytes: ParseSpec
+// must never panic, and every accepted spec must reach a fixed point
+// after one SpecOf(Resolve(.)) round trip through JSON — the canonical
+// form a service records is itself accepted and reproduces itself.
+func FuzzParseSpec(f *testing.F) {
+	valid := `"problem":{"nx":4,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,
+		"order":1,"angles_per_octant":2,"groups":2}`
+	for _, seed := range []string{
+		`{` + valid + `}`,
+		`{` + valid + `, "options":{"epsi":1e-4,"max_inners":10,"max_outers":4}}`,
+		`{` + valid + `, "options":{"scheme":"angle/ELEMENT/group","solver":"DGESV","threads":2}}`,
+		`{` + valid + `, "options":{"accelerate":"dsa","deadline_seconds":30,"health_checks":true}}`,
+		`{` + valid + `, "options":{"allow_cycles":true,"cycle_order":"feedback-arc"}}`,
+		`{` + valid + `, "options":{"reflect":[true,false,true],"time_steps":2,"time_dt":0.1}}`,
+		`{` + valid + `, "options":{"deadline_seconds":0.123456789}}`,
+		`{` + valid + `, "options":{"deadline_seconds":64.58333745239767}}`,
+		`{` + valid + `, "options":{"deadline_seconds":999999.999999999}}`,
+		`{` + valid + `, "options":{"kernel":"scalar"}}`,
+		`{` + valid + `, "options":{"octants":"fused"}}`,
+		`{` + valid + `, "optoins":{}}`,
+		`{` + valid + `, "options":{"deadline_seconds":-1}}`,
+		`{"problem":{"nx":0,"ny":4,"nz":4,"lx":1,"ly":1,"lz":1,"order":1,"angles_per_octant":2,"groups":2}}`,
+		`{"problem":`,
+	} {
+		f.Add([]byte(seed))
+	}
+	canon := func(t *testing.T, sp Spec) Spec {
+		t.Helper()
+		p, o, err := sp.Resolve()
+		if err != nil {
+			t.Fatalf("accepted spec does not resolve: %v", err)
+		}
+		return SpecOf(p, o)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		first := canon(t, sp)
+		wire, err := json.Marshal(first)
+		if err != nil {
+			t.Fatalf("canonical spec does not marshal: %v", err)
+		}
+		back, err := ParseSpec(wire)
+		if err != nil {
+			t.Fatalf("canonical spec rejected: %v\n%s", err, wire)
+		}
+		if second := canon(t, back); second != first {
+			t.Fatalf("round trip is not a fixed point:\n first %+v\nsecond %+v", first, second)
+		}
+	})
 }
